@@ -94,13 +94,6 @@ impl Key {
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }
-
-    /// The key folded to 64 bits — for digests over key *sets* (e.g.
-    /// the coordinator/worker plan cross-check), not for addressing.
-    #[must_use]
-    pub fn fold(&self) -> u64 {
-        self.hi.rotate_left(32) ^ self.lo
-    }
 }
 
 /// An incremental hasher producing a [`Key`]. Inputs are framed
@@ -254,14 +247,10 @@ pub fn store(
 /// injected environment fault).
 #[must_use]
 pub fn is_disk_full(e: &std::io::Error) -> bool {
-    e.raw_os_error() == Some(28) || is_disk_full_msg(&e.to_string())
-}
-
-/// Message-level ENOSPC classification, for errors that crossed a
-/// process or wire boundary as strings (worker Done frames).
-#[must_use]
-pub fn is_disk_full_msg(msg: &str) -> bool {
-    msg.contains("ENOSPC") || msg.contains("No space left on device")
+    let msg = e.to_string();
+    e.raw_os_error() == Some(28)
+        || msg.contains("ENOSPC")
+        || msg.contains("No space left on device")
 }
 
 /// The cache's disk-full degrade state: a latch that turns a stream of

@@ -380,10 +380,10 @@ fn help_prints_usage_on_stdout_and_exits_zero() {
 }
 
 // The full exit-code table from the cqual doc, pinned end to end:
-// 0 clean, 1 diagnostics, 2 bad usage, 3 failed certification, 4
-// worker-mode protocol failure. The 0/1/2 rows are also covered above;
-// this keeps the whole table in one place so a renumbering cannot slip
-// past review.
+// 0 clean, 1 diagnostics, 2 bad usage, 3 failed certification. Code 4
+// (the removed worker-process mode) is retired: its flags are now plain
+// usage errors. The 0/1/2 rows are also covered above; this keeps the
+// whole table in one place so a renumbering cannot slip past review.
 #[test]
 fn exit_code_table_is_exhaustive_and_stable() {
     let dir = TempDir::new("exit-codes");
@@ -427,14 +427,25 @@ fn exit_code_table_is_exhaustive_and_stable() {
         "exit 3 must say why: {}",
         String::from_utf8_lossy(&cert.stderr)
     );
-    // 4: worker-mode protocol failure (here: stdin closed before any
-    // frame arrived).
-    let worker = Command::new(env!("CARGO_BIN_EXE_cqual"))
-        .arg("--worker-mode")
-        .stdin(std::process::Stdio::null())
-        .output()
-        .expect("spawn worker");
-    assert_eq!(worker.status.code(), Some(4));
+    // The removed worker-process flags are unknown flags: exit 2 with
+    // usage on stderr, never the retired code 4.
+    for (name, value) in [
+        ("workers", Some("2")),
+        ("worker-deadline-ms", Some("5")),
+        ("max-worker-respawns", Some("1")),
+        ("worker-mode", None),
+    ] {
+        let flag = format!("--{name}");
+        let mut args = vec![flag.as_str()];
+        args.extend(value);
+        args.push(clean);
+        let out = cqual(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: cqual"),
+            "{args:?}: usage goes to stderr"
+        );
+    }
 }
 
 #[test]

@@ -15,10 +15,10 @@
 //!   pass tags with 1, the greatest pass with 2, so nothing is ever
 //!   reset between passes.
 //! * **Cycle collapse** — full-mask strongly connected components are
-//!   contracted through a union-find before propagation (seeded by the
-//!   online [`crate::simplify::Collapser`], completed by an iterative
-//!   Tarjan pass). Every member of a full-mask cycle provably shares one
-//!   least and one greatest value, so contraction is exact.
+//!   found by an iterative Tarjan pass and contracted onto one
+//!   representative before propagation. Every member of a full-mask
+//!   cycle provably shares one least and one greatest value, so
+//!   contraction is exact.
 //! * **Chain coalescing** — a representative whose *only* lower bound is
 //!   one full-mask in-edge is an alias of its predecessor in the least
 //!   solution (dually for single full-mask out-edges and the greatest
@@ -40,7 +40,6 @@ use qual_lattice::{QualSet, QualSpace};
 
 use crate::constraint::Constraint;
 use crate::error::{SolveFailure, Violation};
-use crate::simplify::Collapser;
 use crate::solver::Solution;
 use crate::term::Qual;
 
@@ -167,24 +166,13 @@ fn rows(
     (off, tgt)
 }
 
-/// Union-find lookup with path halving (safe here: this union-find is
-/// solve-local and never rolled back).
-#[inline]
-fn find(parent: &mut [u32], mut v: u32) -> u32 {
-    while parent[v as usize] != v {
-        let gp = parent[parent[v as usize] as usize];
-        parent[v as usize] = gp;
-        v = gp;
-    }
-    v
-}
-
-/// Iterative Tarjan over the full-mask subgraph (endpoints already
-/// contracted through `parent`); unions every non-trivial SCC. Returns
-/// the number of variables newly folded into a representative.
-fn collapse_sccs(n: usize, edges: &[(u32, u32)], parent: &mut [u32]) -> usize {
+/// Iterative Tarjan over the full-mask subgraph. Returns each
+/// variable's representative: the root of its strongly connected
+/// component (itself when the component is trivial).
+fn collapse_sccs(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
+    let mut root_of: Vec<u32> = (0..n as u32).collect();
     if edges.is_empty() {
-        return 0;
+        return root_of;
     }
     let (off, tgt) = rows(n, edges.iter().map(|&(s, t)| (s, t, 0)), edges.len());
     // index 0 = unvisited; indices start at 1.
@@ -193,7 +181,6 @@ fn collapse_sccs(n: usize, edges: &[(u32, u32)], parent: &mut [u32]) -> usize {
     let mut on_stack = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 1u32;
-    let mut merged = 0usize;
     // DFS frames: (node, next child position).
     let mut frames: Vec<(u32, u32)> = Vec::new();
     for &(root_edge, _) in edges {
@@ -226,14 +213,10 @@ fn collapse_sccs(n: usize, edges: &[(u32, u32)], parent: &mut [u32]) -> usize {
                     lowlink[p as usize] = lowlink[p as usize].min(lowlink[v as usize]);
                 }
                 if lowlink[v as usize] == index[v as usize] {
-                    // Pop the component; union everything into `v`.
-                    while let Some(&w) = stack.last() {
-                        stack.pop();
+                    // Pop the component; map everything onto `v`.
+                    while let Some(w) = stack.pop() {
                         on_stack[w as usize] = false;
-                        if w != v {
-                            parent[w as usize] = v;
-                            merged += 1;
-                        }
+                        root_of[w as usize] = v;
                         if w == v {
                             break;
                         }
@@ -242,7 +225,7 @@ fn collapse_sccs(n: usize, edges: &[(u32, u32)], parent: &mut [u32]) -> usize {
             }
         }
     }
-    merged
+    root_of
 }
 
 /// Resolves alias chains to their terminus, memoized. `alias[r]` is the
@@ -339,7 +322,6 @@ pub(crate) fn solve_budgeted(
     var_count: usize,
     constraints: &[Constraint],
     max_steps: u64,
-    pre: Option<&Collapser>,
 ) -> Result<Solution, SolveFailure> {
     let _span = qual_obs::span("solve-propagate");
     qual_obs::peak("solve.vars", var_count as u64);
@@ -385,22 +367,8 @@ pub(crate) fn solve_budgeted(
         }
     }
 
-    // ---- cycle collapse: online classes + solve-time SCC pass -------
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    if let Some(col) = pre {
-        for v in 0..n as u32 {
-            parent[v as usize] = col.class_of(v);
-        }
-    }
-    let mut contracted: Vec<(u32, u32)> = Vec::with_capacity(full_edges.len());
-    for &(v, w) in &full_edges {
-        let (a, b) = (find(&mut parent, v), find(&mut parent, w));
-        if a != b {
-            contracted.push((a, b));
-        }
-    }
-    collapse_sccs(n, &contracted, &mut parent);
-    let root_of: Vec<u32> = (0..n as u32).map(|v| find(&mut parent, v)).collect();
+    // ---- cycle collapse: solve-time SCC pass ------------------------
+    let root_of = collapse_sccs(n, &full_edges);
     let collapsed = root_of
         .iter()
         .enumerate()
